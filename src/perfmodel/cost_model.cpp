@@ -469,7 +469,14 @@ RuntimeOracle::measureImpl(const std::vector<std::array<u32, 3>>& coords,
         int rd = info.sparseDim[r_idx];
         panicIf(rd < 0, "sparse row index without sparse dim");
 
-        static thread_local LinearCounter counter;
+        // One 512 KiB bitmap per thread, reused across measurements. A
+        // thread_local named inside a ThreadPool lambda resolves to each
+        // worker's own (never constructed) instance, so the parallel scan
+        // must reach the caller's bitmap through this reference: every
+        // participant then ORs into the one bitmap the caller resets and
+        // reads.
+        static thread_local LinearCounter tl_counter;
+        LinearCounter& counter = tl_counter;
         auto count_distinct = [&](u32 prefix_len, bool with_row) {
             counter.reset();
             auto hash_of = [&](u64 n) {

@@ -6,6 +6,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <thread>
+
 #include "perfmodel/cost_model.hpp"
 #include "util/rng.hpp"
 
@@ -198,6 +201,58 @@ TEST_F(PerfModelTest, MttkrpMeasurable)
                  .measure(t, shape, defaultSchedule(shape));
     EXPECT_TRUE(r.valid);
     EXPECT_GT(r.seconds, 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Parallel pattern scan. Registered under the `tsan` ctest label too
+// (tests/CMakeLists.txt). Inputs with nnz >= 1<<16 fan the oracle's
+// linear-counting scan out over the global pool; every participant must OR
+// into the calling thread's bitmap, so the result cannot depend on which
+// thread measures, how chunks fall across workers, or how many hardware
+// threads the host has.
+// ---------------------------------------------------------------------------
+
+void
+expectBitwiseEqual(const Measurement& want, const Measurement& got,
+                   const char* what)
+{
+    EXPECT_EQ(std::bit_cast<u64>(want.seconds), std::bit_cast<u64>(got.seconds))
+        << what;
+    EXPECT_EQ(std::bit_cast<u64>(want.missBytes),
+              std::bit_cast<u64>(got.missBytes))
+        << what;
+    EXPECT_EQ(std::bit_cast<u64>(want.computeSeconds),
+              std::bit_cast<u64>(got.computeSeconds))
+        << what;
+    EXPECT_EQ(std::bit_cast<u64>(want.memorySeconds),
+              std::bit_cast<u64>(got.memorySeconds))
+        << what;
+    EXPECT_EQ(std::bit_cast<u64>(want.imbalance),
+              std::bit_cast<u64>(got.imbalance))
+        << what;
+}
+
+TEST(OracleScanTsan, ParallelScanIsThreadIndependent)
+{
+    auto m = uniformRandom(4096, 4096, 80000, 11);
+    ASSERT_GE(m.nnz(), 1u << 16) << "input must take the parallel scan";
+    auto shape = ProblemShape::forMatrix(Algorithm::SpMM, 4096, 4096, 64);
+    auto s = defaultSchedule(shape);
+    RuntimeOracle oracle(MachineConfig::intel24());
+
+    auto first = oracle.measure(m, shape, s);
+    ASSERT_TRUE(first.valid);
+    ASSERT_GT(first.missBytes, 0.0);
+    // Repeats on the main thread: a lost insert would show up as a run-to-
+    // run difference, since dynamic chunk claiming varies between runs.
+    for (int run = 1; run < 5; ++run)
+        expectBitwiseEqual(first, oracle.measure(m, shape, s), "main thread");
+
+    // A fresh thread starts with its own, newly constructed bitmap.
+    Measurement fresh;
+    std::thread t([&] { fresh = oracle.measure(m, shape, s); });
+    t.join();
+    expectBitwiseEqual(first, fresh, "fresh thread");
 }
 
 } // namespace
