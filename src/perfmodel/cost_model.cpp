@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <queue>
 #include <thread>
 
+#include "perfmodel/linear_counter.hpp"
 #include "util/thread_pool.hpp"
 
 namespace waco {
@@ -25,6 +27,9 @@ scanThreads()
     return std::min(hw, 8u);
 }
 
+/** Hash of the empty coordinate tuple. */
+constexpr u64 kKeySeed = 0x12345;
+
 /** Mixing step for coordinate-tuple hashing. */
 u64
 hashCombine(u64 h, u64 v)
@@ -32,70 +37,6 @@ hashCombine(u64 h, u64 v)
     h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
     return h;
 }
-
-/**
- * Approximate distinct counting via linear counting over a fixed bitmap
- * (Whang et al.): insert hashes, then estimate n ≈ -m * ln(empty/m).
- * Replaces exact hash sets in the hot path of the oracle — the estimate is
- * within a few percent for the cardinalities we see, and the bitmap makes
- * one measurement O(nnz) with a small constant.
- */
-class LinearCounter
-{
-  public:
-    LinearCounter() : bits_(kWords, 0) {}
-
-    void
-    reset()
-    {
-        std::fill(bits_.begin(), bits_.end(), 0);
-    }
-
-    void
-    insert(u64 h)
-    {
-        u64 bit = mix(h);
-        bits_[bit >> 6] |= 1ull << (bit & 63);
-    }
-
-    /** Thread-safe insert: OR is commutative, so concurrent insertion is
-     *  deterministic regardless of interleaving. */
-    void
-    insertAtomic(u64 h)
-    {
-        u64 bit = mix(h);
-        __atomic_fetch_or(&bits_[bit >> 6], 1ull << (bit & 63),
-                          __ATOMIC_RELAXED);
-    }
-
-    double
-    estimate() const
-    {
-        u64 set = 0;
-        for (u64 w : bits_)
-            set += static_cast<u64>(__builtin_popcountll(w));
-        if (set == 0)
-            return 0.0;
-        if (set >= kBits)
-            return static_cast<double>(kBits);
-        double m = static_cast<double>(kBits);
-        return -m * std::log((m - static_cast<double>(set)) / m);
-    }
-
-  private:
-    static u64
-    mix(u64 h)
-    {
-        h ^= h >> 33;
-        h *= 0xff51afd7ed558ccdull;
-        h ^= h >> 29;
-        return h & (kBits - 1);
-    }
-
-    static constexpr u64 kBits = 1ull << 22; // 4M bits = 512 KiB
-    static constexpr u64 kWords = kBits / 64;
-    std::vector<u64> bits_;
-};
 
 /** Per-nonzero coordinate of a slot (outer: c/split, inner: c%split).
  *  Uses the nest's extent-clamped splits. */
@@ -121,12 +62,10 @@ RuntimeOracle::measure(const SparseMatrix& m, const ProblemShape& shape,
     Measurement out;
     try {
         LoopNest nest = lower(s, shape); // validates the schedule
-        auto fmt = HierSparseTensor::build(formatOf(s, shape), m,
-                                           maxFormatBytes_);
-        std::vector<std::array<u32, 3>> coords(m.nnz());
-        for (u64 n = 0; n < m.nnz(); ++n)
-            coords[n] = {m.rowIndices()[n], m.colIndices()[n], 0};
-        return measureImpl(coords, m.nnz(), shape, s, nest, fmt);
+        FormatDescriptor desc = formatOf(s, shape);
+        auto coords = HierSparseTensor::coordsOf(desc, m);
+        auto fmt = HierSparseTensor::layout(desc, coords, maxFormatBytes_);
+        return measureImpl(coords, shape, s, nest, fmt);
     } catch (const FatalError& e) {
         out.valid = false;
         out.invalidReason = e.what();
@@ -143,12 +82,10 @@ RuntimeOracle::measure(const Sparse3Tensor& t, const ProblemShape& shape,
     Measurement out;
     try {
         LoopNest nest = lower(s, shape); // validates the schedule
-        auto fmt = HierSparseTensor::build(formatOf(s, shape), t,
-                                           maxFormatBytes_);
-        std::vector<std::array<u32, 3>> coords(t.nnz());
-        for (u64 n = 0; n < t.nnz(); ++n)
-            coords[n] = {t.iIndices()[n], t.kIndices()[n], t.lIndices()[n]};
-        return measureImpl(coords, t.nnz(), shape, s, nest, fmt);
+        FormatDescriptor desc = formatOf(s, shape);
+        auto coords = HierSparseTensor::coordsOf(desc, t);
+        auto fmt = HierSparseTensor::layout(desc, coords, maxFormatBytes_);
+        return measureImpl(coords, shape, s, nest, fmt);
     } catch (const FatalError& e) {
         out.valid = false;
         out.invalidReason = e.what();
@@ -170,15 +107,15 @@ RuntimeOracle::conversionSeconds(u64 nnz, u64 stored_values) const
 
 Measurement
 RuntimeOracle::measureImpl(const std::vector<std::array<u32, 3>>& coords,
-                           u64 nnz, const ProblemShape& shape,
-                           const SuperSchedule& s, const LoopNest& nest,
-                           const HierSparseTensor& fmt) const
+                           const ProblemShape& shape, const SuperSchedule& s,
+                           const LoopNest& nest, const FormatLayout& fmt) const
 {
+    const u64 nnz = coords.size();
     const auto& info = algorithmInfo(s.alg);
     const MachineConfig& mc = machine_;
     Measurement out;
-    out.storedValues = fmt.storedValues();
-    out.formatBytes = fmt.bytes();
+    out.storedValues = fmt.storedValues;
+    out.formatBytes = fmt.bytes;
 
     // All loop/level structure comes from the lowered nest — the same IR
     // the interpreter executes and the emitter prints.
@@ -216,7 +153,7 @@ RuntimeOracle::measureImpl(const std::vector<std::array<u32, 3>>& coords,
     }
     double inner_dense_work = dense_work_total / leaf_visits_mult;
 
-    const double stored = static_cast<double>(fmt.storedValues());
+    const double stored = static_cast<double>(fmt.storedValues);
     const double leaf_visits = stored * leaf_visits_mult;
 
     // ---- SIMD decision for the innermost loop (Figure 14 cliff) ----
@@ -245,7 +182,7 @@ RuntimeOracle::measureImpl(const std::vector<std::array<u32, 3>>& coords,
             // SpMV of Figure 14.
             contiguous = num_levels > 0 &&
                          nest.levelSlot(num_levels - 1) == inner &&
-                         fmt.levels()[num_levels - 1].fmt ==
+                         fmt.levels[num_levels - 1].fmt ==
                              LevelFormat::Uncompressed;
         }
         if (contiguous && trip >= mc.simdTripThreshold) {
@@ -258,7 +195,7 @@ RuntimeOracle::measureImpl(const std::vector<std::array<u32, 3>>& coords,
     // ---- compute cycles ----
     double traversal_cycles = 0.0;
     for (u32 l = 0; l < num_levels; ++l) {
-        const BuiltLevel& bl = fmt.levels()[l];
+        const LevelLayout& bl = fmt.levels[l];
         double per = bl.fmt == LevelFormat::Uncompressed
             ? mc.uncompressedLevelCycles
             : mc.compressedLevelCycles;
@@ -279,10 +216,10 @@ RuntimeOracle::measureImpl(const std::vector<std::array<u32, 3>>& coords,
     for (u32 l1 = 0; l1 < num_levels; ++l1) {
         for (u32 l2 = l1 + 1; l2 < num_levels; ++l2) {
             if (loop_pos(nest.levelSlot(l2)) < loop_pos(nest.levelSlot(l1))) {
-                const BuiltLevel& deeper = fmt.levels()[l2];
+                const LevelLayout& deeper = fmt.levels[l2];
                 double parent = std::max<double>(
                     1.0, static_cast<double>(
-                             l2 ? fmt.levels()[l2 - 1].numPositions : 1));
+                             l2 ? fmt.levels[l2 - 1].numPositions : 1));
                 double fanout = std::max(
                     2.0, static_cast<double>(deeper.numPositions) / parent);
                 double probes = deeper.fmt == LevelFormat::Compressed
@@ -323,7 +260,7 @@ RuntimeOracle::measureImpl(const std::vector<std::array<u32, 3>>& coords,
         double cons_mult = 1.0;
         for (const LoopNode& n : cons) {
             if (n.kind == LoopKind::Sparse) {
-                const BuiltLevel& bl = fmt.levels()[n.level];
+                const LevelLayout& bl = fmt.levels[n.level];
                 double per = bl.fmt == LevelFormat::Uncompressed
                     ? mc.uncompressedLevelCycles
                     : mc.compressedLevelCycles;
@@ -334,10 +271,10 @@ RuntimeOracle::measureImpl(const std::vector<std::array<u32, 3>>& coords,
                 cons_mult *= n.extent;
             }
             for (const LocateStep& ls : n.locates) {
-                const BuiltLevel& bl = fmt.levels()[ls.level];
+                const LevelLayout& bl = fmt.levels[ls.level];
                 double parent = std::max<double>(
                     1.0, static_cast<double>(
-                             ls.level ? fmt.levels()[ls.level - 1].numPositions
+                             ls.level ? fmt.levels[ls.level - 1].numPositions
                                       : 1));
                 double fanout = std::max(
                     2.0, static_cast<double>(bl.numPositions) / parent);
@@ -357,7 +294,7 @@ RuntimeOracle::measureImpl(const std::vector<std::array<u32, 3>>& coords,
             if (n.kind == LoopKind::Sparse) {
                 // numPositions already includes outer fan-out.
                 ws_iters = static_cast<double>(
-                    fmt.levels()[n.level].numPositions);
+                    fmt.levels[n.level].numPositions);
             } else {
                 ws_iters *= n.extent;
             }
@@ -371,7 +308,7 @@ RuntimeOracle::measureImpl(const std::vector<std::array<u32, 3>>& coords,
     double v_max = leaf_visits_mult;
     for (double v : level_visits)
         v_max = std::max(v_max, v);
-    double a_bytes = static_cast<double>(fmt.bytes());
+    double a_bytes = static_cast<double>(fmt.bytes);
     double a_miss = a_bytes;
     if (v_max > 1.0 && a_bytes > llc)
         a_miss += (v_max - 1.0) * a_bytes;
@@ -379,6 +316,21 @@ RuntimeOracle::measureImpl(const std::vector<std::array<u32, 3>>& coords,
     // second time; an LLC-resident tensor is free, a larger one pays again.
     if (nest.fused() && a_bytes > llc)
         a_miss += a_bytes;
+
+    // Pattern scans fan out over the global pool for large inputs.
+    const bool parallel_scan = nnz >= kParallelScanNnz;
+    auto for_nonzeros = [&](const std::function<void(u64, u64)>& body) {
+        if (!parallel_scan) {
+            body(0, nnz);
+            return;
+        }
+        u32 threads = scanThreads();
+        globalPool().ensureWorkers(threads - 1);
+        globalPool().parallelFor(nnz, 1u << 13, threads, body);
+    };
+    // prefix_hashes[k * nnz + n]: hash of nonzero n's first k + 1 key-slot
+    // coordinates; reused across dense operands.
+    std::vector<u64> prefix_hashes;
 
     double dense_miss = 0.0;
     for (std::size_t op = 0; op < info.denseOperands.size(); ++op) {
@@ -469,6 +421,21 @@ RuntimeOracle::measureImpl(const std::vector<std::array<u32, 3>>& coords,
         int rd = info.sparseDim[r_idx];
         panicIf(rd < 0, "sparse row index without sparse dim");
 
+        // Hash every key-slot prefix of every nonzero once; each
+        // count_distinct below then reads one hash per nonzero.
+        const u32 num_keys = static_cast<u32>(key_slots.size());
+        prefix_hashes.resize(static_cast<std::size_t>(num_keys) * nnz);
+        for_nonzeros([&](u64 b, u64 e) {
+            for (u64 n = b; n < e; ++n) {
+                u64 h = kKeySeed;
+                for (u32 kq = 0; kq < num_keys; ++kq) {
+                    h = hashCombine(h, slotCoordOf(nest, info, key_slots[kq],
+                                                   coords[n]));
+                    prefix_hashes[kq * nnz + n] = h;
+                }
+            }
+        });
+
         // One 512 KiB bitmap per thread, reused across measurements. A
         // thread_local named inside a ThreadPool lambda resolves to each
         // worker's own (never constructed) instance, so the parallel scan
@@ -478,27 +445,23 @@ RuntimeOracle::measureImpl(const std::vector<std::array<u32, 3>>& coords,
         static thread_local LinearCounter tl_counter;
         LinearCounter& counter = tl_counter;
         auto count_distinct = [&](u32 prefix_len, bool with_row) {
-            counter.reset();
+            const u64* prefix =
+                prefix_len ? &prefix_hashes[(prefix_len - 1) * nnz] : nullptr;
             auto hash_of = [&](u64 n) {
-                u64 h = 0x12345;
-                for (u32 kq = 0; kq < prefix_len; ++kq) {
-                    h = hashCombine(h, slotCoordOf(nest, info, key_slots[kq],
-                                                   coords[n]));
-                }
+                u64 h = prefix ? prefix[n] : kKeySeed;
                 if (with_row)
                     h = hashCombine(h, coords[n][rd] / line_div);
                 return h;
             };
-            if (nnz >= kParallelScanNnz) {
+            counter.reset();
+            if (parallel_scan) {
                 // Bitmap OR is order-independent, so the estimate is
                 // deterministic no matter how the scan is chunked.
-                u32 threads = scanThreads();
-                globalPool().ensureWorkers(threads - 1);
-                globalPool().parallelFor(
-                    nnz, 1u << 13, threads, [&](u64 b, u64 e) {
-                        for (u64 n = b; n < e; ++n)
-                            counter.insertAtomic(hash_of(n));
-                    });
+                counter.markAllDirty();
+                for_nonzeros([&](u64 b, u64 e) {
+                    for (u64 n = b; n < e; ++n)
+                        counter.insertAtomic(hash_of(n));
+                });
             } else {
                 for (u64 n = 0; n < nnz; ++n)
                     counter.insert(hash_of(n));
@@ -577,7 +540,7 @@ RuntimeOracle::measureImpl(const std::vector<std::array<u32, 3>>& coords,
     double outside_cycles = 0.0;
     for (u32 l = 0; l < num_levels; ++l) {
         if (loop_pos(nest.levelSlot(l)) < p_pos) {
-            const BuiltLevel& bl = fmt.levels()[l];
+            const LevelLayout& bl = fmt.levels[l];
             double per = bl.fmt == LevelFormat::Uncompressed
                 ? mc.uncompressedLevelCycles
                 : mc.compressedLevelCycles;
@@ -596,7 +559,7 @@ RuntimeOracle::measureImpl(const std::vector<std::array<u32, 3>>& coords,
         if (loop_pos(nest.levelSlot(l)) < p_pos) {
             deepest_outside_positions = std::max(
                 deepest_outside_positions,
-                static_cast<double>(fmt.levels()[l].numPositions));
+                static_cast<double>(fmt.levels[l].numPositions));
         }
     }
     launches *= deepest_outside_positions;

@@ -4,7 +4,8 @@
  * plays the role of the paper's hardware measurements.
  *
  * Given a sparse input, a ProblemShape and a SuperSchedule, the oracle
- * materializes the schedule's format and estimates the execution time of the
+ * sizes the schedule's format (the layout pass of HierSparseTensor, which
+ * fills no array) and estimates the execution time of the
  * TACO-style loop nest on a MachineConfig. The model captures the couplings
  * the paper identifies as performance-critical:
  *
@@ -130,11 +131,13 @@ class RuntimeOracle : public MeasurementBackend
   private:
     /** The analytical model proper. Walks the lowered @p nest for all loop
      *  and level structure (positions, extents, discordance) — the same IR
-     *  the interpreter executes — instead of re-deriving it from @p s. */
+     *  the interpreter executes — instead of re-deriving it from @p s.
+     *  Reads only the format's sizes, so @p fmt is the layout pass's
+     *  result, never a materialized tensor. */
     Measurement measureImpl(const std::vector<std::array<u32, 3>>& coords,
-                            u64 nnz, const ProblemShape& shape,
-                            const SuperSchedule& s, const LoopNest& nest,
-                            const HierSparseTensor& fmt) const;
+                            const ProblemShape& shape, const SuperSchedule& s,
+                            const LoopNest& nest,
+                            const FormatLayout& fmt) const;
 
     MachineConfig machine_;
     u64 maxFormatBytes_;

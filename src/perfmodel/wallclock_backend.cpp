@@ -7,20 +7,22 @@
 #include <vector>
 
 #include "util/metrics.hpp"
-#include "util/rng.hpp"
 
 namespace waco {
 
 namespace {
 
-/** Deterministic integer-valued fill: measurements must not depend on
- *  which measure() call happened first. */
+/** Deterministic integer-valued fill (1 or 2): measurements must not
+ *  depend on which measure() call happened first. Counter-based — the top
+ *  bit of a golden-ratio Weyl sequence offset by the mixed seed — so it
+ *  costs a multiply-add per element instead of a PRNG draw. */
 void
 fillDeterministic(std::vector<float>& data, u64 seed)
 {
-    Rng rng(seed);
-    for (auto& x : data)
-        x = static_cast<float>(rng.uniformInt(1, 3));
+    u64 base = (seed ^ (seed >> 31)) * 0xbf58476d1ce4e5b9ull;
+    for (std::size_t i = 0; i < data.size(); ++i)
+        data[i] = static_cast<float>(
+            1 + ((base + i * 0x9e3779b97f4a7c15ull) >> 63));
 }
 
 DenseMatrix

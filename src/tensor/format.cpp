@@ -189,39 +189,22 @@ namespace {
 /** Per-entry byte cost of TACO's int32 pos/crd and float val arrays. */
 constexpr u64 kEntryBytes = 4;
 
-} // namespace
-
-HierSparseTensor
-HierSparseTensor::build(const FormatDescriptor& desc, const SparseMatrix& m,
-                        u64 max_bytes)
+/**
+ * The layout pass plus what the fill step needs to place each nonzero:
+ * its value position, and for every C level the parent position and the
+ * coordinate of each position the level creates (both at most nnz long).
+ */
+struct Placement
 {
-    fatalIf(desc.order() != 2, "2D build requires an order-2 descriptor");
-    fatalIf(desc.dims()[0] != m.rows() || desc.dims()[1] != m.cols(),
-            "descriptor dims do not match matrix shape");
-    std::vector<std::array<u32, 3>> coords(m.nnz());
-    for (u64 n = 0; n < m.nnz(); ++n)
-        coords[n] = {m.rowIndices()[n], m.colIndices()[n], 0};
-    return buildImpl(desc, coords, m.values(), max_bytes);
-}
+    FormatLayout layout;
+    std::vector<u64> valuePos;
+    std::vector<std::vector<u64>> parents; ///< C levels only.
+    std::vector<std::vector<u32>> crd;     ///< C levels only.
+};
 
-HierSparseTensor
-HierSparseTensor::build(const FormatDescriptor& desc, const Sparse3Tensor& t,
-                        u64 max_bytes)
-{
-    fatalIf(desc.order() != 3, "3D build requires an order-3 descriptor");
-    fatalIf(desc.dims()[0] != t.dimI() || desc.dims()[1] != t.dimK() ||
-                desc.dims()[2] != t.dimL(),
-            "descriptor dims do not match tensor shape");
-    std::vector<std::array<u32, 3>> coords(t.nnz());
-    for (u64 n = 0; n < t.nnz(); ++n)
-        coords[n] = {t.iIndices()[n], t.kIndices()[n], t.lIndices()[n]};
-    return buildImpl(desc, coords, t.values(), max_bytes);
-}
-
-HierSparseTensor
-HierSparseTensor::buildImpl(const FormatDescriptor& desc,
-                            const std::vector<std::array<u32, 3>>& coords,
-                            const std::vector<float>& vals, u64 max_bytes)
+Placement
+place(const FormatDescriptor& desc,
+      const std::vector<std::array<u32, 3>>& coords, u64 max_bytes)
 {
     const u32 num_levels = desc.numLevels();
     const u64 nnz = coords.size();
@@ -246,74 +229,147 @@ HierSparseTensor::buildImpl(const FormatDescriptor& desc,
         keyed[n] = {k, static_cast<u32>(n)};
     }
     std::sort(keyed.begin(), keyed.end());
-    std::vector<u64> order(nnz);
-    for (u64 n = 0; n < nnz; ++n)
-        order[n] = keyed[n].second;
 
-    HierSparseTensor out;
-    out.desc_ = desc;
-    out.levels_.resize(num_levels);
-    out.bytes_ = 0;
+    Placement out;
+    out.layout.levels.resize(num_levels);
+    out.parents.resize(num_levels);
+    out.crd.resize(num_levels);
 
     // Current position of each nonzero; refined level by level.
-    std::vector<u64> position(nnz, 0);
+    std::vector<u64>& position = out.valuePos;
+    position.assign(nnz, 0);
     u64 parent_count = 1;
 
     for (u32 l = 0; l < num_levels; ++l) {
-        BuiltLevel& bl = out.levels_[l];
-        bl.fmt = desc.levels()[l].fmt;
-        bl.extent = desc.levelExtent(l);
-        if (bl.fmt == LevelFormat::Uncompressed) {
-            bl.numPositions = parent_count * bl.extent;
-            if (bl.numPositions > max_positions ||
-                bl.numPositions / bl.extent != parent_count) {
+        LevelLayout& ll = out.layout.levels[l];
+        ll.fmt = desc.levels()[l].fmt;
+        ll.extent = desc.levelExtent(l);
+        if (ll.fmt == LevelFormat::Uncompressed) {
+            ll.numPositions = parent_count * ll.extent;
+            if (ll.numPositions > max_positions ||
+                ll.numPositions / ll.extent != parent_count) {
                 throw FormatTooLarge("uncompressed level exceeds budget in " +
                                      desc.name());
             }
-            for (u64 idx = 0; idx < nnz; ++idx) {
-                u64 n = order[idx];
-                position[n] = position[n] * bl.extent + lc[l][n];
-            }
-            out.bytes_ += kEntryBytes; // stores only the dimension
+            for (u64 n = 0; n < nnz; ++n)
+                position[n] = position[n] * ll.extent + lc[l][n];
+            out.layout.bytes += kEntryBytes; // stores only the dimension
         } else {
             if (parent_count + 1 > max_positions) {
                 throw FormatTooLarge("compressed pos array exceeds budget in " +
                                      desc.name());
             }
-            bl.pos.assign(parent_count + 1, 0);
-            bl.crd.clear();
-            bl.crd.reserve(nnz);
+            std::vector<u64>& parents = out.parents[l];
+            std::vector<u32>& crd = out.crd[l];
+            parents.reserve(nnz);
+            crd.reserve(nnz);
             u64 prev_parent = ~0ull;
             u32 prev_coord = 0;
-            std::vector<u64> new_position(nnz);
-            for (u64 idx = 0; idx < nnz; ++idx) {
-                u64 n = order[idx];
+            for (const auto& kn : keyed) {
+                u32 n = kn.second;
                 u64 parent = position[n];
                 u32 coord = lc[l][n];
                 if (parent != prev_parent || coord != prev_coord ||
-                    bl.crd.empty()) {
-                    bl.crd.push_back(coord);
-                    ++bl.pos[parent + 1];
+                    crd.empty()) {
+                    parents.push_back(parent);
+                    crd.push_back(coord);
                     prev_parent = parent;
                     prev_coord = coord;
                 }
-                new_position[n] = bl.crd.size() - 1;
+                position[n] = crd.size() - 1;
             }
-            for (u64 p = 0; p < parent_count; ++p)
-                bl.pos[p + 1] += bl.pos[p];
-            position = std::move(new_position);
-            bl.numPositions = bl.crd.size();
-            out.bytes_ += kEntryBytes * (bl.pos.size() + bl.crd.size());
+            ll.numPositions = crd.size();
+            out.layout.bytes += kEntryBytes * (parent_count + 1 + crd.size());
         }
-        parent_count = bl.numPositions;
+        parent_count = ll.numPositions;
     }
 
     if (parent_count > max_positions)
         throw FormatTooLarge("value array exceeds budget in " + desc.name());
-    out.vals_.assign(parent_count, 0.0f);
-    for (u64 n = 0; n < nnz; ++n)
-        out.vals_[position[n]] += vals[n];
-    out.bytes_ += kEntryBytes * parent_count;
+    out.layout.storedValues = parent_count;
+    out.layout.bytes += kEntryBytes * parent_count;
+    return out;
+}
+
+} // namespace
+
+std::vector<std::array<u32, 3>>
+HierSparseTensor::coordsOf(const FormatDescriptor& desc, const SparseMatrix& m)
+{
+    fatalIf(desc.order() != 2, "2D build requires an order-2 descriptor");
+    fatalIf(desc.dims()[0] != m.rows() || desc.dims()[1] != m.cols(),
+            "descriptor dims do not match matrix shape");
+    std::vector<std::array<u32, 3>> coords(m.nnz());
+    for (u64 n = 0; n < m.nnz(); ++n)
+        coords[n] = {m.rowIndices()[n], m.colIndices()[n], 0};
+    return coords;
+}
+
+std::vector<std::array<u32, 3>>
+HierSparseTensor::coordsOf(const FormatDescriptor& desc, const Sparse3Tensor& t)
+{
+    fatalIf(desc.order() != 3, "3D build requires an order-3 descriptor");
+    fatalIf(desc.dims()[0] != t.dimI() || desc.dims()[1] != t.dimK() ||
+                desc.dims()[2] != t.dimL(),
+            "descriptor dims do not match tensor shape");
+    std::vector<std::array<u32, 3>> coords(t.nnz());
+    for (u64 n = 0; n < t.nnz(); ++n)
+        coords[n] = {t.iIndices()[n], t.kIndices()[n], t.lIndices()[n]};
+    return coords;
+}
+
+HierSparseTensor
+HierSparseTensor::build(const FormatDescriptor& desc, const SparseMatrix& m,
+                        u64 max_bytes)
+{
+    return buildImpl(desc, coordsOf(desc, m), m.values(), max_bytes);
+}
+
+HierSparseTensor
+HierSparseTensor::build(const FormatDescriptor& desc, const Sparse3Tensor& t,
+                        u64 max_bytes)
+{
+    return buildImpl(desc, coordsOf(desc, t), t.values(), max_bytes);
+}
+
+FormatLayout
+HierSparseTensor::layout(const FormatDescriptor& desc,
+                         const std::vector<std::array<u32, 3>>& coords,
+                         u64 max_bytes)
+{
+    return place(desc, coords, max_bytes).layout;
+}
+
+HierSparseTensor
+HierSparseTensor::buildImpl(const FormatDescriptor& desc,
+                            const std::vector<std::array<u32, 3>>& coords,
+                            const std::vector<float>& vals, u64 max_bytes)
+{
+    Placement placed = place(desc, coords, max_bytes);
+    const FormatLayout& lay = placed.layout;
+
+    HierSparseTensor out;
+    out.desc_ = desc;
+    out.levels_.resize(lay.levels.size());
+    out.bytes_ = lay.bytes;
+    u64 parent_count = 1;
+    for (std::size_t l = 0; l < lay.levels.size(); ++l) {
+        BuiltLevel& bl = out.levels_[l];
+        static_cast<LevelLayout&>(bl) = lay.levels[l];
+        if (bl.fmt == LevelFormat::Compressed) {
+            bl.pos.assign(parent_count + 1, 0);
+            for (u64 parent : placed.parents[l])
+                ++bl.pos[parent + 1];
+            for (u64 p = 0; p < parent_count; ++p)
+                bl.pos[p + 1] += bl.pos[p];
+            bl.crd = std::move(placed.crd[l]);
+        }
+        parent_count = bl.numPositions;
+    }
+
+    out.vals_.assign(lay.storedValues, 0.0f);
+    for (u64 n = 0; n < coords.size(); ++n)
+        out.vals_[placed.valuePos[n]] += vals[n];
     return out;
 }
 

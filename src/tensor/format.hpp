@@ -131,17 +131,36 @@ class FormatTooLarge : public FatalError
     explicit FormatTooLarge(const std::string& msg) : FatalError(msg) {}
 };
 
-/** Storage arrays of one built level. */
-struct BuiltLevel
+/** Size of one level, known before any of its arrays is filled. */
+struct LevelLayout
 {
     LevelFormat fmt = LevelFormat::Uncompressed;
     u32 extent = 0;
+    /** Number of positions after this level. */
+    u64 numPositions = 0;
+};
+
+/**
+ * The sizes of a format over one input: what HierSparseTensor::build
+ * allocates, computed by the layout pass without allocating it. Padded
+ * formats can be hundreds of MB; their layout is O(nnz + levels).
+ */
+struct FormatLayout
+{
+    std::vector<LevelLayout> levels;
+    /** Number of stored value positions (nnz plus dense-block padding). */
+    u64 storedValues = 0;
+    /** Storage footprint in bytes (4-byte pos/crd/val entries). */
+    u64 bytes = 0;
+};
+
+/** Storage arrays of one built level. */
+struct BuiltLevel : LevelLayout
+{
     /** C only: pos[p+1]-pos[p] children for parent position p. */
     std::vector<u64> pos;
     /** C only: child coordinates, one per position. */
     std::vector<u32> crd;
-    /** Number of positions after this level. */
-    u64 numPositions = 0;
 };
 
 /**
@@ -161,6 +180,23 @@ class HierSparseTensor
     static HierSparseTensor build(const FormatDescriptor& desc,
                                   const Sparse3Tensor& t,
                                   u64 max_bytes = kDefaultMaxBytes);
+
+    /** Full (d0, d1, d2) coordinates of @p m's nonzeros, in COO order.
+     *  @throws FatalError if @p desc does not describe @p m's shape. */
+    static std::vector<std::array<u32, 3>> coordsOf(const FormatDescriptor& desc,
+                                                    const SparseMatrix& m);
+    static std::vector<std::array<u32, 3>> coordsOf(const FormatDescriptor& desc,
+                                                    const Sparse3Tensor& t);
+
+    /**
+     * The layout pass alone: level sizes, stored values and footprint of
+     * @p desc over the nonzeros at @p coords, without filling any array.
+     * build() runs this same pass before its fill step.
+     * @throws FormatTooLarge exactly where build() would.
+     */
+    static FormatLayout layout(const FormatDescriptor& desc,
+                               const std::vector<std::array<u32, 3>>& coords,
+                               u64 max_bytes = kDefaultMaxBytes);
 
     const FormatDescriptor& descriptor() const { return desc_; }
     const std::vector<BuiltLevel>& levels() const { return levels_; }
